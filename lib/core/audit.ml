@@ -125,30 +125,34 @@ let check_copy_coverage ?only sys ~context =
                 covered_partition o.Ids.Oid.page
                 && not
                      (Locking.Copy_table.holds
-                        (Model.server_of sys o.Ids.Oid.page).ocopies o
-                        ~client:cid)
+                        (Model.server_of sys o.Ids.Oid.page).ocopies
+                        (Model.obj_key sys o) ~client:cid)
               then
                 violation sys ~context
                   "client %d caches object %s without a copy registration" cid
                   (oid_str o))
         else
           (* PS-OO: object-grain registrations for the available slots
-             of each cached page. *)
+             of each cached page, probed by dense object number; an
+             [Oid] is built only to report a violation. *)
+          let opp = sys.cfg.Config.objects_per_page in
           Lru.iter cs.cache.(cid) (fun p entry ->
-              if covered_partition p then
-                for slot = 0 to sys.cfg.Config.objects_per_page - 1 do
-                  if not (Ids.Int_set.mem slot entry.unavailable) then
-                    let o = Ids.Oid.make ~page:p ~slot in
-                    if
-                      not
-                        (Locking.Copy_table.holds
-                           (Model.server_of sys p).ocopies o ~client:cid)
-                    then
-                      violation sys ~context
-                        "client %d caches available object %s without a \
-                         copy registration"
-                        cid (oid_str o)
-                done)
+              if covered_partition p then begin
+                let ocopies = (Model.server_of sys p).ocopies in
+                for slot = 0 to opp - 1 do
+                  if
+                    (not (Ids.Int_set.mem slot entry.unavailable))
+                    && not
+                         (Locking.Copy_table.holds ocopies ((p * opp) + slot)
+                            ~client:cid)
+                  then
+                    violation sys ~context
+                      "client %d caches available object %s without a copy \
+                       registration"
+                      cid
+                      (oid_str (Ids.Oid.make ~page:p ~slot))
+                done
+              end)
     in
     (* Per-transaction-boundary audits scope to the one client whose
        cache changed; the full sweep remains for fault handlers and the
@@ -247,15 +251,8 @@ let check_crashed_servers sys ~context =
           violation sys ~context
             "down server %d still holds %d page / %d object locks" sv.sid pl
             ol;
-        let copies table =
-          let acc = ref 0 in
-          for cid = 0 to sys.clients.n - 1 do
-            acc := !acc + Locking.Copy_table.client_copies table ~client:cid
-          done;
-          !acc
-        in
-        let pc = copies sv.pcopies in
-        let oc = copies sv.ocopies in
+        let pc = Locking.Copy_table.copies sv.pcopies in
+        let oc = Locking.Copy_table.copies sv.ocopies in
         if pc > 0 || oc > 0 then
           violation sys ~context
             "down server %d still registers %d page / %d object copies" sv.sid

@@ -26,20 +26,26 @@ val check : ?context:string -> ?coverage_of:int -> Model.sys -> unit
     global.  Fault-hook and end-of-run audits sweep everything.
 
     Invariants:
-    - every lock holder and queued waiter is an active transaction
+    + every lock holder and queued waiter is an active transaction
       (begun and not ended) — in particular no crashed client's
       transaction holds or awaits locks;
-    - page write locks coexist with no {e foreign} object write lock on
+    + page write locks coexist with no {e foreign} object write lock on
       the same page (lock-mode compatibility across granularities);
-    - every page/object cached at an {e up} client is covered by at
+    + every page/object cached at an {e up} client is covered by at
       least one copy-table registration, so it remains a callback
-      target;
-    - a crashed (down) client has no running transaction, empty caches,
+      target (copies of a partition whose server is down or recovering
+      are exempt until its tables are rebuilt).  Object-grain copies
+      are probed by dense object number, so PS-OO's per-slot sweep
+      builds no [Oid] unless it reports a violation;
+    + a crashed (down) client has no running transaction, empty caches,
       and no copy-table registrations;
-    - the waits-for graph is acyclic (deadlock detection left no cycle
+    + the waits-for graph is acyclic (deadlock detection left no cycle
       behind);
-    - the updated-object sets of concurrently running transactions are
-      pairwise disjoint (write isolation). *)
+    + the updated-object sets of concurrently running transactions are
+      pairwise disjoint (write isolation);
+    + a crashed (down) server holds no locks, copy-table registrations,
+      write tokens or buffered pages.  The copy-table test reads each
+      table's O(1) total, so it costs nothing per client. *)
 
 val install : Model.sys -> unit
 (** Register [check sys] as the fault-injection hook, so every injected

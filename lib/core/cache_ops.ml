@@ -12,10 +12,10 @@ let release_page_copy_refs sys cid p (entry : page_entry) =
   if Algo.page_grain_copies sys.algo then
     Locking.Copy_table.unregister sv.pcopies p ~client:cid
   else
-    for slot = 0 to sys.cfg.Config.objects_per_page - 1 do
+    let opp = sys.cfg.Config.objects_per_page in
+    for slot = 0 to opp - 1 do
       if not (Ids.Int_set.mem slot entry.unavailable) then
-        Locking.Copy_table.unregister sv.ocopies
-          (Ids.Oid.make ~page:p ~slot) ~client:cid
+        Locking.Copy_table.unregister sv.ocopies ((p * opp) + slot) ~client:cid
     done
 
 (* Mirror cache traffic into the oracle's shadow store.  A slot marked
@@ -52,7 +52,8 @@ let drop_object sys cid oid =
   | None -> ()
   | Some _ ->
     Locking.Copy_table.unregister
-      (Model.server_of sys oid.Ids.Oid.page).ocopies oid ~client:cid;
+      (Model.server_of sys oid.Ids.Oid.page).ocopies (Model.obj_key sys oid)
+      ~client:cid;
     Model.oracle_hook sys (fun o ->
         Oracle.History.drop_copy o ~client:cid ~oid)
 
@@ -66,7 +67,8 @@ let mark_unavailable sys cid oid =
          reference for the object. *)
       if not (Algo.page_grain_copies sys.algo) then
         Locking.Copy_table.unregister
-          (Model.server_of sys oid.Ids.Oid.page).ocopies oid ~client:cid;
+          (Model.server_of sys oid.Ids.Oid.page).ocopies
+          (Model.obj_key sys oid) ~client:cid;
       Model.oracle_hook sys (fun o ->
           Oracle.History.drop_copy o ~client:cid ~oid)
     end
@@ -110,7 +112,8 @@ let install_object sys cid oid =
     (* Already cached: the shipment added a duplicate reference at the
        server; the merged copy keeps a single one. *)
     Locking.Copy_table.unregister
-      (Model.server_of sys oid.Ids.Oid.page).ocopies oid ~client:cid;
+      (Model.server_of sys oid.Ids.Oid.page).ocopies (Model.obj_key sys oid)
+      ~client:cid;
     if not entry.odirty then
       Model.oracle_hook sys (fun o ->
           Oracle.History.install_copy o ~client:cid ~oid);
@@ -122,7 +125,8 @@ let install_object sys cid oid =
     | None -> None
     | Some (victim, ventry) ->
       Locking.Copy_table.unregister
-        (Model.server_of sys victim.Ids.Oid.page).ocopies victim ~client:cid;
+        (Model.server_of sys victim.Ids.Oid.page).ocopies
+        (Model.obj_key sys victim) ~client:cid;
       Model.oracle_hook sys (fun o ->
           Oracle.History.drop_copy o ~client:cid ~oid:victim);
       if ventry.odirty then Some victim else None)

@@ -156,6 +156,7 @@ let reconstruct_client_copies sys sv cid =
   let register = not sys.cfg.Config.srv_skip_reconstruction in
   let rows = ref 0 in
   let owned p = Model.owner_sid sys p = sv.sid in
+  let opp = sys.cfg.Config.objects_per_page in
   if Algo.page_grain_copies sys.algo then
     Lru.iter cs.cache.(cid) (fun p _ ->
         if owned p then begin
@@ -166,20 +167,19 @@ let reconstruct_client_copies sys sv cid =
     Lru.iter cs.ocache.(cid) (fun o _ ->
         if owned o.Ids.Oid.page then begin
           incr rows;
-          if register then Copy_table.register sv.ocopies o ~client:cid
+          if register then
+            Copy_table.register sv.ocopies (obj_key sys o) ~client:cid
         end)
   else
     (* PS-OO: object-grain registrations for the available slots of
        each cached page. *)
     Lru.iter cs.cache.(cid) (fun p entry ->
         if owned p then
-          for slot = 0 to sys.cfg.Config.objects_per_page - 1 do
+          for slot = 0 to opp - 1 do
             if not (Ids.Int_set.mem slot entry.unavailable) then begin
               incr rows;
               if register then
-                Copy_table.register sv.ocopies
-                  (Ids.Oid.make ~page:p ~slot)
-                  ~client:cid
+                Copy_table.register sv.ocopies ((p * opp) + slot) ~client:cid
             end
           done);
   !rows

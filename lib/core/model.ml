@@ -53,8 +53,8 @@ type server = {
   sbuffer : Buffer_pool.t;
   plocks : Ids.page Locking.Lock_table.t;
   olocks : Ids.Oid.t Locking.Lock_table.t;
-  pcopies : Ids.page Locking.Copy_table.t;
-  ocopies : Ids.Oid.t Locking.Copy_table.t;
+  pcopies : Locking.Copy_table.t;
+  ocopies : Locking.Copy_table.t;
   wfg : Locking.Waits_for.t;
   versions : (Ids.page, int) Hashtbl.t;
   olocks_by_page : (Ids.page, int Ids.Oid_map.t) Hashtbl.t;
@@ -123,6 +123,9 @@ let owner_sid sys p =
     | Config.Range -> min (n - 1) (p * n / sys.cfg.Config.db_pages)
 
 let server_of sys p = sys.servers.(owner_sid sys p)
+
+let obj_key sys o =
+  Ids.Oid.to_int ~objects_per_page:sys.cfg.Config.objects_per_page o
 
 (* A client's home server relays callbacks from remote partitions (the
    client keeps one session channel instead of n). *)

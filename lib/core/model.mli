@@ -85,8 +85,9 @@ type server = {
   sbuffer : Buffer_pool.t;
   plocks : Ids.page Locking.Lock_table.t;  (** page write locks *)
   olocks : Ids.Oid.t Locking.Lock_table.t;  (** object write locks *)
-  pcopies : Ids.page Locking.Copy_table.t;
-  ocopies : Ids.Oid.t Locking.Copy_table.t;
+  pcopies : Locking.Copy_table.t;  (** copy sites by page id *)
+  ocopies : Locking.Copy_table.t;
+      (** copy sites by dense object number ({!obj_key}) *)
   wfg : Locking.Waits_for.t;
   versions : (Ids.page, int) Hashtbl.t;
       (** committed-update counter per page; missing = 0 *)
@@ -177,6 +178,11 @@ val owner_sid : sys -> Ids.page -> int
     [Range]: contiguous ranges of [db_pages / n] pages). *)
 
 val server_of : sys -> Ids.page -> server
+
+val obj_key : sys -> Ids.Oid.t -> int
+(** The object's dense number, [page * objects_per_page + slot]: its
+    item in the object-grain copy table [ocopies]. *)
+
 val home_sid : sys -> int -> int
 (** A client's home server: [cid mod n]. *)
 

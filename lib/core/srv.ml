@@ -93,7 +93,8 @@ let copy_registered sys kind target =
   match kind with
   | Cb.Purge_page p -> Copy_table.holds sv.pcopies p ~client:target
   | Cb.Adaptive o -> Copy_table.holds sv.pcopies o.Ids.Oid.page ~client:target
-  | Cb.Purge_obj o | Cb.Mark_obj o -> Copy_table.holds sv.ocopies o ~client:target
+  | Cb.Purge_obj o | Cb.Mark_obj o ->
+    Copy_table.holds sv.ocopies (obj_key sys o) ~client:target
 
 (* Issue callbacks to [targets] and wait for all acknowledgements.  The
    writer's wait is registered in the owning server's waits-for graph
@@ -433,10 +434,10 @@ let rec reply_page_live sys txn p =
          page copy confers, before the reply leaves the server, so a
          writer that wins its lock while the copy is in transit still
          calls this client back. *)
-      for slot = 0 to sys.cfg.Config.objects_per_page - 1 do
+      let opp = sys.cfg.Config.objects_per_page in
+      for slot = 0 to opp - 1 do
         if not (Ids.Int_set.mem slot unavailable) then
-          Copy_table.register sv.ocopies (Ids.Oid.make ~page:p ~slot)
-            ~client:txn.client
+          Copy_table.register sv.ocopies ((p * opp) + slot) ~client:txn.client
       done
     | Algo.OS -> assert false);
     let version = page_version sys p in
@@ -533,7 +534,8 @@ let read_rpc sys txn oid =
             end
           in
           List.iter
-            (fun o -> Copy_table.register sv.ocopies o ~client:txn.client)
+            (fun o ->
+              Copy_table.register sv.ocopies (obj_key sys o) ~client:txn.client)
             group;
           Netlayer.objs_data sys ~cls:Metrics.M_read_reply
             ~src:(Netlayer.Server sv.sid) ~dst:(Netlayer.Client txn.client)
@@ -640,7 +642,8 @@ let write_rpc sys txn oid =
     else if txn_dead sys txn then reply_dead ()
     else
       let targets =
-        Copy_table.holders_except sv.ocopies oid ~client:txn.client
+        Copy_table.holders_except sv.ocopies (obj_key sys oid)
+          ~client:txn.client
       in
       match
         do_callbacks sys sv ~writer:txn.tid ~kind:(Cb.Purge_obj oid) ~targets
@@ -659,7 +662,8 @@ let write_rpc sys txn oid =
     else if acquire_token sys txn p = Lock_types.Aborted then reply W_aborted
     else
       let targets =
-        Copy_table.holders_except sv.ocopies oid ~client:txn.client
+        Copy_table.holders_except sv.ocopies (obj_key sys oid)
+          ~client:txn.client
       in
       match
         do_callbacks sys sv ~writer:txn.tid ~kind:(Cb.Mark_obj oid) ~targets

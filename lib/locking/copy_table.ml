@@ -12,25 +12,50 @@
    The ascending order of [holders] is load-bearing: callback fan-out
    iterates it, so it determines message order and therefore the RNG
    draw sequence.  The sorted vector reproduces the dense scan's
-   ascending order exactly. *)
+   ascending order exactly.  No result depends on hash-table iteration
+   order, so the choice of hash function cannot move a simulation.
+
+   Items are plain ints (page ids, or dense object numbers), hashed
+   monomorphically: a polymorphic [Hashtbl] pays a C [caml_hash] and a
+   [compare_val] call per probe, and the object-grain callback and
+   audit paths probe once per slot of every page. *)
+
+(* The bucket index is the hash's low bits.  The identity would not
+   do: hash partitioning gives each server the page ids congruent to
+   its sid modulo the server count, which would share 1/N of the
+   power-of-two buckets.  So the key's 64-wide block number goes
+   through a multiplicative mix folded down to the low bits and is
+   XORed into the key: every bucket stays reachable, while the keys of
+   one block (a page's dense object numbers, which register, release
+   and audit visit together) land in one 64-bucket window instead of
+   being scattered over the whole bucket array. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+
+  let hash x =
+    let m = (x lsr 6) * 0x2545F4914F6CDD1D in
+    x lxor m lxor (m lsr 32)
+end)
 
 type row = {
   mutable cids : int array; (* holder sites, ascending; first [len] live *)
   mutable len : int;
 }
 
-type 'item t = {
+type t = {
   clients : int;
-  rows : ('item, row) Hashtbl.t;
+  rows : row Itbl.t;
   (* Per site, item -> positive refcount.  Allocated lazily: most
      sites never touch most servers' tables. *)
-  index : ('item, int) Hashtbl.t option array;
+  index : int Itbl.t option array;
   mutable total : int; (* (item, site) pairs with count > 0 *)
 }
 
 let create ~clients =
   if clients <= 0 then invalid_arg "Copy_table.create: clients";
-  { clients; rows = Hashtbl.create 1024; index = Array.make clients None; total = 0 }
+  { clients; rows = Itbl.create 1024; index = Array.make clients None; total = 0 }
 
 let check_client t client =
   if client < 0 || client >= t.clients then
@@ -40,7 +65,7 @@ let idx t client =
   match t.index.(client) with
   | Some h -> h
   | None ->
-    let h = Hashtbl.create 16 in
+    let h = Itbl.create 16 in
     t.index.(client) <- Some h;
     h
 
@@ -77,17 +102,19 @@ let row_remove row cid =
 let register t item ~client =
   check_client t client;
   let h = idx t client in
-  match Hashtbl.find_opt h item with
-  | Some n -> Hashtbl.replace h item (n + 1)
+  match Itbl.find_opt h item with
+  | Some n -> Itbl.replace h item (n + 1)
   | None ->
-    Hashtbl.replace h item 1;
+    (* [add], not [replace]: the key is known absent, so skip the
+       second bucket walk. *)
+    Itbl.add h item 1;
     t.total <- t.total + 1;
     let row =
-      match Hashtbl.find_opt t.rows item with
+      match Itbl.find_opt t.rows item with
       | Some r -> r
       | None ->
         let r = { cids = Array.make 2 0; len = 0 } in
-        Hashtbl.replace t.rows item r;
+        Itbl.add t.rows item r;
         r
     in
     row_insert row client
@@ -97,26 +124,28 @@ let unregister t item ~client =
   match t.index.(client) with
   | None -> ()
   | Some h -> (
-    match Hashtbl.find_opt h item with
+    match Itbl.find_opt h item with
     | None -> ()
     | Some 1 ->
-      Hashtbl.remove h item;
+      Itbl.remove h item;
       t.total <- t.total - 1;
-      let row = Hashtbl.find t.rows item in
+      let row = Itbl.find t.rows item in
       row_remove row client;
-      if row.len = 0 then Hashtbl.remove t.rows item
-    | Some n -> Hashtbl.replace h item (n - 1))
+      if row.len = 0 then Itbl.remove t.rows item
+    | Some n -> Itbl.replace h item (n - 1))
 
 let refs t item ~client =
   check_client t client;
   match t.index.(client) with
   | None -> 0
-  | Some h -> ( match Hashtbl.find_opt h item with Some n -> n | None -> 0)
+  | Some h -> ( match Itbl.find_opt h item with Some n -> n | None -> 0)
 
-let holds t item ~client = refs t item ~client > 0
+let holds t item ~client =
+  check_client t client;
+  match t.index.(client) with None -> false | Some h -> Itbl.mem h item
 
 let holders t item =
-  match Hashtbl.find_opt t.rows item with
+  match Itbl.find_opt t.rows item with
   | None -> []
   | Some row ->
     let out = ref [] in
@@ -126,7 +155,7 @@ let holders t item =
     !out
 
 let holders_except t item ~client =
-  match Hashtbl.find_opt t.rows item with
+  match Itbl.find_opt t.rows item with
   | None -> []
   | Some row ->
     (* One pass, ascending, skipping the requester. *)
@@ -141,20 +170,20 @@ let copies t = t.total
 
 let client_copies t ~client =
   check_client t client;
-  match t.index.(client) with None -> 0 | Some h -> Hashtbl.length h
+  match t.index.(client) with None -> 0 | Some h -> Itbl.length h
 
 let purge_client t ~client =
   check_client t client;
   match t.index.(client) with
   | None -> 0
   | Some h ->
-    let n = Hashtbl.length h in
-    Hashtbl.iter
+    let n = Itbl.length h in
+    Itbl.iter
       (fun item _refs ->
         t.total <- t.total - 1;
-        let row = Hashtbl.find t.rows item in
+        let row = Itbl.find t.rows item in
         row_remove row client;
-        if row.len = 0 then Hashtbl.remove t.rows item)
+        if row.len = 0 then Itbl.remove t.rows item)
       h;
     t.index.(client) <- None;
     n

@@ -4,6 +4,11 @@
     server knows where to direct callbacks.  The page-server protocols
     track pages; OS and PS-OO track objects (Section 3.3).
 
+    Items are ints: page ids for page-grain tracking, and dense object
+    numbers ({!Storage.Ids.Oid.to_int}) for object-grain tracking.  The
+    table hashes them monomorphically with a cheap integer mix, so a
+    probe makes no polymorphic [caml_hash]/[compare_val] call.
+
     Registrations are {e reference counted}: the server registers a
     copy when it ships it (before the reply reaches the client), so a
     client may momentarily hold two references to one item — the cached
@@ -20,34 +25,34 @@
     copies) — population-independent, which is what makes 10k+ client
     runs feasible. *)
 
-type 'item t
+type t
 
-val create : clients:int -> 'item t
+val create : clients:int -> t
 
-val register : 'item t -> 'item -> client:int -> unit
+val register : t -> int -> client:int -> unit
 (** Add one reference. *)
 
-val unregister : 'item t -> 'item -> client:int -> unit
+val unregister : t -> int -> client:int -> unit
 (** Release one reference (no-op at zero). *)
 
-val holds : 'item t -> 'item -> client:int -> bool
+val holds : t -> int -> client:int -> bool
 (** True while the site holds at least one reference. *)
 
-val refs : 'item t -> 'item -> client:int -> int
+val refs : t -> int -> client:int -> int
 
-val holders : 'item t -> 'item -> int list
+val holders : t -> int -> int list
 (** Sites holding at least one reference, ascending. *)
 
-val holders_except : 'item t -> 'item -> client:int -> int list
+val holders_except : t -> int -> client:int -> int list
 (** Callback targets: every holding site except the requester's. *)
 
-val copies : 'item t -> int
+val copies : t -> int
 (** Number of (item, site) pairs with at least one reference. *)
 
-val client_copies : 'item t -> client:int -> int
+val client_copies : t -> client:int -> int
 (** Items for which the site holds at least one reference (audit). *)
 
-val purge_client : 'item t -> client:int -> int
+val purge_client : t -> client:int -> int
 (** Drop {e all} of one site's registrations — including references for
     copies still in transit — and return how many items were affected.
     Used when the site crashes: its volatile cache is gone, so it must

@@ -79,36 +79,83 @@ end
 
 (* --- Model equivalence under random storms -------------------------------- *)
 
-type op = Register of int * int | Unregister of int * int | Purge of int
+(* Items are dense object numbers as an object-grain table sees them:
+   under hash partitioning, server [s] owns the pages congruent to [s]
+   modulo the server count, and each page holds [objects_per_page]
+   slots.  Whole-page registrations mirror a PS-OO page shipment, so a
+   site's index grows through several resizes and the strided ids
+   exercise the hash's collision chains. *)
+let servers = 4 and objects_per_page = 20 and pages = 40
 
-let op_gen ~clients ~items =
+let obj_id ~s ~k ~slot = ((s + (servers * k)) * objects_per_page) + slot
+
+type op =
+  | Register of int * int
+  | Unregister of int * int
+  | Ship of int * int  (** register every slot of one page *)
+  | Release of int * int  (** unregister every slot of one page *)
+  | Purge of int
+
+let page_items ~s k = List.init objects_per_page (fun slot -> obj_id ~s ~k ~slot)
+
+let op_gen ~s ~clients =
   QCheck.Gen.(
+    let client = int_bound (clients - 1) and page = int_bound (pages - 1) in
+    let item =
+      map2 (fun k slot -> obj_id ~s ~k ~slot) page
+        (int_bound (objects_per_page - 1))
+    in
     frequency
       [
-        (5, map2 (fun i c -> Register (i, c)) (int_bound (items - 1))
-            (int_bound (clients - 1)));
-        (4, map2 (fun i c -> Unregister (i, c)) (int_bound (items - 1))
-            (int_bound (clients - 1)));
-        (1, map (fun c -> Purge c) (int_bound (clients - 1)));
+        (5, map2 (fun i c -> Register (i, c)) item client);
+        (4, map2 (fun i c -> Unregister (i, c)) item client);
+        (2, map2 (fun k c -> Ship (k, c)) page client);
+        (1, map2 (fun k c -> Release (k, c)) page client);
+        (1, map (fun c -> Purge c) client);
       ])
 
 let show_op = function
   | Register (i, c) -> Printf.sprintf "Register(%d,%d)" i c
   | Unregister (i, c) -> Printf.sprintf "Unregister(%d,%d)" i c
+  | Ship (k, c) -> Printf.sprintf "Ship(%d,%d)" k c
+  | Release (k, c) -> Printf.sprintf "Release(%d,%d)" k c
   | Purge c -> Printf.sprintf "Purge(%d)" c
 
 let prop_sparse_matches_dense =
-  let clients = 7 and items = 9 in
+  let clients = 7 in
   let arb =
     QCheck.make
-      ~print:(fun ops -> String.concat "; " (List.map show_op ops))
-      QCheck.Gen.(list_size (int_range 0 120) (op_gen ~clients ~items))
+      ~print:(fun (s, ops) ->
+        Printf.sprintf "server %d: %s" s
+          (String.concat "; " (List.map show_op ops)))
+      QCheck.Gen.(
+        int_bound (servers - 1) >>= fun s ->
+        map (fun ops -> (s, ops))
+          (list_size (int_range 0 120) (op_gen ~s ~clients)))
   in
   QCheck.Test.make ~name:"sparse copy table matches dense reference" ~count:300
     arb
-    (fun ops ->
+    (fun (s, ops) ->
       let sparse = Copy_table.create ~clients in
       let dense = Dense.create ~clients in
+      let all_clients = List.init clients Fun.id in
+      let same_item i =
+        Copy_table.holders sparse i = Dense.holders dense i
+        && List.for_all
+             (fun c ->
+               Copy_table.refs sparse i ~client:c = Dense.refs dense i ~client:c
+               && Copy_table.holds sparse i ~client:c
+                  = (Dense.refs dense i ~client:c > 0)
+               && Copy_table.holders_except sparse i ~client:c
+                  = Dense.holders_except dense i ~client:c)
+             all_clients
+      in
+      let domain = List.concat_map (page_items ~s) (List.init pages Fun.id) in
+      let items_of = function
+        | Register (i, _) | Unregister (i, _) -> [ i ]
+        | Ship (k, _) | Release (k, _) -> page_items ~s k
+        | Purge _ -> domain
+      in
       List.for_all
         (fun op ->
           (match op with
@@ -118,33 +165,40 @@ let prop_sparse_matches_dense =
           | Unregister (i, c) ->
             Copy_table.unregister sparse i ~client:c;
             Dense.unregister dense i ~client:c
+          | Ship (k, c) ->
+            List.iter
+              (fun i ->
+                Copy_table.register sparse i ~client:c;
+                Dense.register dense i ~client:c)
+              (page_items ~s k)
+          | Release (k, c) ->
+            List.iter
+              (fun i ->
+                Copy_table.unregister sparse i ~client:c;
+                Dense.unregister dense i ~client:c)
+              (page_items ~s k)
           | Purge c ->
             let got = Copy_table.purge_client sparse ~client:c in
             let want = Dense.purge_client dense ~client:c in
             if got <> want then
               QCheck.Test.fail_reportf "purge returned %d, expected %d" got
                 want);
-          (* Compare every observation the server makes. *)
+          (* Compare every observation the server makes: the counts
+             after every step, together with the O(1) total the audit
+             relies on, and every item the step can have changed. *)
+          let per_client =
+            List.map (fun c -> Copy_table.client_copies sparse ~client:c)
+              all_clients
+          in
           Copy_table.copies sparse = Dense.copies dense
-          && List.for_all
-               (fun c ->
-                 Copy_table.client_copies sparse ~client:c
-                 = Dense.client_copies dense ~client:c)
-               (List.init clients Fun.id)
-          && List.for_all
-               (fun i ->
-                 Copy_table.holders sparse i = Dense.holders dense i
-                 && List.for_all
-                      (fun c ->
-                        Copy_table.refs sparse i ~client:c
-                        = Dense.refs dense i ~client:c
-                        && Copy_table.holds sparse i ~client:c
-                           = (Dense.refs dense i ~client:c > 0)
-                        && Copy_table.holders_except sparse i ~client:c
-                           = Dense.holders_except dense i ~client:c)
-                      (List.init clients Fun.id))
-               (List.init items Fun.id))
-        ops)
+          && Copy_table.copies sparse = List.fold_left ( + ) 0 per_client
+          && per_client
+             = List.map (fun c -> Dense.client_copies dense ~client:c)
+                 all_clients
+          && List.for_all same_item (items_of op))
+        ops
+      (* Finally every item in the server's domain, touched or not. *)
+      && List.for_all same_item domain)
 
 (* --- Purge cost: no full-table walk --------------------------------------- *)
 

@@ -234,34 +234,52 @@ let test_crash_reclaims_state () =
     (Faults.recoveries sys.Model.faults >= 1)
 
 (* The auditor must reject corrupted states, otherwise the storm tests
-   are vacuous. *)
+   are vacuous.  Run per copy-tracking grain: page (PS-AA), object (OS)
+   and object-per-slot of a cached page (PS-OO), and both as the full
+   sweep and as the scoped check a transaction boundary runs, so
+   neither coverage probe can pass vacuously. *)
 let test_audit_detects_corruption () =
-  let sys = mk_running_sys ~algo:Algo.PS_AA ~seed:6 in
-  Simcore.Engine.run_until sys.Model.engine 10.0;
-  sys.Model.live <- false;
-  let expect_violation what corrupt restore =
-    corrupt ();
-    (match Audit.check sys ~context:"negative-test" with
-    | () -> Alcotest.fail ("audit accepted " ^ what)
-    | exception Audit.Violation _ -> ());
-    restore ()
-  in
-  let cs = sys.Model.clients in
-  Alcotest.(check bool)
-    "client has cached pages" true
-    (Lru.size cs.Model.cache.(0) > 0);
-  expect_violation "a down client with live state"
-    (fun () -> cs.Model.up.(0) <- false)
-    (fun () -> cs.Model.up.(0) <- true);
-  (* Unregistering a live client's copies breaks callback coverage. *)
-  expect_violation "a cached page with no copy registration"
-    (fun () ->
-      ignore
-        (Locking.Copy_table.purge_client sys.Model.servers.(0).pcopies ~client:0
-          : int))
-    (fun () -> ());
-  Audit.check sys ~context:"pre-corruption state was clean (up flag restored)"
-    ~coverage_of:1
+  List.iter
+    (fun algo ->
+      let name = Algo.to_string algo in
+      let sys = mk_running_sys ~algo ~seed:6 in
+      Simcore.Engine.run_until sys.Model.engine 10.0;
+      sys.Model.live <- false;
+      let expect_violation what corrupt restore =
+        corrupt ();
+        List.iter
+          (fun (scope, coverage_of) ->
+            match Audit.check sys ~context:"negative-test" ?coverage_of with
+            | () ->
+              Alcotest.failf "%s: %s audit accepted %s" name scope what
+            | exception Audit.Violation _ -> ())
+          [ ("full", None); ("scoped", Some 0) ];
+        restore ()
+      in
+      let cs = sys.Model.clients in
+      let sv = sys.Model.servers.(0) in
+      let cached =
+        if algo = Algo.OS then Lru.size cs.Model.ocache.(0)
+        else Lru.size cs.Model.cache.(0)
+      in
+      let table =
+        if Algo.page_grain_copies algo then sv.Model.pcopies
+        else sv.Model.ocopies
+      in
+      Alcotest.(check bool) (name ^ ": client has cached copies") true
+        (cached > 0);
+      expect_violation "a down client with live state"
+        (fun () -> cs.Model.up.(0) <- false)
+        (fun () -> cs.Model.up.(0) <- true);
+      (* Unregistering a live client's copies breaks callback coverage. *)
+      expect_violation "a cached copy with no copy registration"
+        (fun () ->
+          ignore (Locking.Copy_table.purge_client table ~client:0 : int))
+        (fun () -> ());
+      Audit.check sys
+        ~context:"pre-corruption state was clean (up flag restored)"
+        ~coverage_of:1)
+    [ Algo.PS_AA; Algo.OS; Algo.PS_OO ]
 
 let suite =
   [

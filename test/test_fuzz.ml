@@ -78,7 +78,8 @@ let audit sys =
       Lru.iter cs.Model.ocache.(cid) (fun o _ ->
           incr cached_objects;
           if
-            Locking.Copy_table.refs sys.Model.servers.(0).ocopies o ~client:cid
+            Locking.Copy_table.refs sys.Model.servers.(0).ocopies
+              (Model.obj_key sys o) ~client:cid
             <> 1
           then failwith "audit: cached object not registered exactly once")
     else
@@ -92,8 +93,8 @@ let audit sys =
             in
             incr cached_objects;
             let got =
-              Locking.Copy_table.refs sys.Model.servers.(0).ocopies o
-                ~client:cid
+              Locking.Copy_table.refs sys.Model.servers.(0).ocopies
+                (Model.obj_key sys o) ~client:cid
             in
             if got <> expect then
               failwith

@@ -12,24 +12,24 @@ let mk () =
 
 let test_copy_register () =
   let ct = Copy_table.create ~clients:4 in
-  Copy_table.register ct "p1" ~client:0;
-  Copy_table.register ct "p1" ~client:2;
-  Copy_table.register ct "p1" ~client:2;
+  Copy_table.register ct 1 ~client:0;
+  Copy_table.register ct 1 ~client:2;
+  Copy_table.register ct 1 ~client:2;
   (* idempotent *)
-  Alcotest.(check (list int)) "holders" [ 0; 2 ] (Copy_table.holders ct "p1");
+  Alcotest.(check (list int)) "holders" [ 0; 2 ] (Copy_table.holders ct 1);
   Alcotest.(check int) "total" 2 (Copy_table.copies ct);
   Alcotest.(check (list int)) "except requester" [ 0 ]
-    (Copy_table.holders_except ct "p1" ~client:2)
+    (Copy_table.holders_except ct 1 ~client:2)
 
 let test_copy_unregister () =
   let ct = Copy_table.create ~clients:4 in
-  Copy_table.register ct "p1" ~client:1;
-  Copy_table.unregister ct "p1" ~client:1;
-  Copy_table.unregister ct "p1" ~client:1;
+  Copy_table.register ct 1 ~client:1;
+  Copy_table.unregister ct 1 ~client:1;
+  Copy_table.unregister ct 1 ~client:1;
   (* idempotent *)
-  Alcotest.(check (list int)) "empty" [] (Copy_table.holders ct "p1");
+  Alcotest.(check (list int)) "empty" [] (Copy_table.holders ct 1);
   Alcotest.(check int) "total" 0 (Copy_table.copies ct);
-  Alcotest.(check bool) "holds" false (Copy_table.holds ct "p1" ~client:1)
+  Alcotest.(check bool) "holds" false (Copy_table.holds ct 1 ~client:1)
 
 (* --- Lock table: grants -------------------------------------------------- *)
 

@@ -75,8 +75,8 @@ let audit sys =
       Lru.iter cs.Model.ocache.(cid) (fun o _ ->
           if
             not
-              (Locking.Copy_table.holds sys.Model.servers.(0).ocopies o
-                 ~client:cid)
+              (Locking.Copy_table.holds sys.Model.servers.(0).ocopies
+                 (Model.obj_key sys o) ~client:cid)
           then
             Alcotest.failf "cached object %d.%d not registered" o.Ids.Oid.page
               o.Ids.Oid.slot)
