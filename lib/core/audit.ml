@@ -88,6 +88,20 @@ let check_lock_compat sys ~context =
               p h))
     sys.servers
 
+(* Bit [i] set iff slot [from + i] of a cached page is available, for
+   [0 <= i < len]. *)
+let available_mask unavailable ~from ~len =
+  let all = (1 lsl len) - 1 in
+  if Ids.Int_set.is_empty unavailable then all
+  else
+    Ids.Int_set.fold
+      (fun slot m ->
+        let i = slot - from in
+        if i >= 0 && i < len then m land lnot (1 lsl i) else m)
+      unavailable all
+
+let rec lowest_bit m = if m land 1 <> 0 then 0 else 1 + lowest_bit (m lsr 1)
+
 (* Invariant 3: callback coverage — every copy cached at an up client is
    registered (>= 1 reference; a second in-flight reference is legal).
    Without this the server would skip the client during callbacks and
@@ -133,24 +147,35 @@ let check_copy_coverage ?only sys ~context =
                   (oid_str o))
         else
           (* PS-OO: object-grain registrations for the available slots
-             of each cached page, probed by dense object number; an
-             [Oid] is built only to report a violation. *)
+             of each cached page.  The page's dense object numbers are
+             walked in runs that stay inside one copy-table block, and
+             each run's available-slot mask is compared with the
+             registered mask in one probe; an [Oid] is built only to
+             report a violation. *)
           let opp = sys.cfg.Config.objects_per_page in
+          let bs = Locking.Copy_table.block_size in
           Lru.iter cs.cache.(cid) (fun p entry ->
               if covered_partition p then begin
                 let ocopies = (Model.server_of sys p).ocopies in
-                for slot = 0 to opp - 1 do
-                  if
-                    (not (Ids.Int_set.mem slot entry.unavailable))
-                    && not
-                         (Locking.Copy_table.holds ocopies ((p * opp) + slot)
-                            ~client:cid)
-                  then
+                let slot = ref 0 in
+                while !slot < opp do
+                  let item = (p * opp) + !slot in
+                  let len = min (opp - !slot) (bs - (item land (bs - 1))) in
+                  let missing =
+                    available_mask entry.unavailable ~from:!slot ~len
+                    land lnot
+                           (Locking.Copy_table.held_mask ocopies item ~len
+                              ~client:cid)
+                  in
+                  if missing <> 0 then
                     violation sys ~context
                       "client %d caches available object %s without a copy \
                        registration"
                       cid
-                      (oid_str (Ids.Oid.make ~page:p ~slot))
+                      (oid_str
+                         (Ids.Oid.make ~page:p
+                            ~slot:(!slot + lowest_bit missing)));
+                  slot := !slot + len
                 done
               end)
     in

@@ -19,9 +19,11 @@
     a callback target while it holds any reference.
 
     The representation is sparse: each item keeps a compact ascending
-    vector of holder sites and each site keeps an item -> refcount
-    index, so [holders]/[holders_except] cost O(holders of the item),
-    [client_copies] is O(1) and [purge_client] is O(that site's
+    vector of holder sites and each site keeps an index of the items it
+    holds, grouped into {!block_size}-item blocks of held bits, so
+    [holders]/[holders_except] cost O(holders of the item),
+    [client_copies] is O(1), {!held_mask} answers a whole run of items
+    with one or two probes, and [purge_client] is O(that site's
     copies) — population-independent, which is what makes 10k+ client
     runs feasible. *)
 
@@ -39,6 +41,15 @@ val holds : t -> int -> client:int -> bool
 (** True while the site holds at least one reference. *)
 
 val refs : t -> int -> client:int -> int
+
+val block_size : int
+(** Items per block of a site's index (32).  A run of items that stays
+    inside one block costs {!held_mask} a single probe. *)
+
+val held_mask : t -> int -> len:int -> client:int -> int
+(** [held_mask t item ~len ~client] has bit [i] set, for [0 <= i < len],
+    iff the site holds [item + i]: {!holds} over a whole run at once.
+    [len] must lie in [\[0, block_size\]]. *)
 
 val holders : t -> int -> int list
 (** Sites holding at least one reference, ascending. *)

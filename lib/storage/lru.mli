@@ -3,7 +3,15 @@
     Backs both the client page caches and the server buffer pool (the
     model uses "an LRU page replacement policy", Section 4.1), as well
     as the object-grain cache of the object-server variant.  O(1)
-    lookup, insertion, and eviction. *)
+    expected lookup, insertion, and eviction.
+
+    Bindings live in parallel slot arrays linked by int indexes, with
+    an int-array hash index over the keys (polymorphic [Hashtbl.hash]
+    and [compare]).  Both start small and double on demand up to
+    [capacity] slots, so an idle cache costs a few words whatever its
+    capacity.  {!find}, {!touch} and {!add} allocate nothing beyond the
+    option or eviction pair they return.  A removed binding's key and
+    value stay reachable until its slot is reused. *)
 
 type ('k, 'v) t
 
@@ -34,7 +42,8 @@ val remove : ('k, 'v) t -> 'k -> 'v option
 (** Remove a binding, returning its value. *)
 
 val iter : ('k, 'v) t -> ('k -> 'v -> unit) -> unit
-(** Iterate from most to least recently used. *)
+(** Iterate from most to least recently used.  [f] may remove the
+    binding it is given, but must not otherwise modify the cache. *)
 
 val fold : ('k, 'v) t -> init:'a -> f:('a -> 'k -> 'v -> 'a) -> 'a
 

@@ -13,12 +13,10 @@ let draw_pages rng (c : Wparams.per_client) n =
   let pick_in (r : Wparams.region) =
     Rng.int_in rng ~lo:r.first ~hi:r.last
   in
-  let region_full (r : Wparams.region) =
-    let size = Wparams.region_size r in
-    let inside = Hashtbl.fold (fun p () acc ->
-        if Wparams.in_region r p then acc + 1 else acc) chosen 0 in
-    inside >= size
-  in
+  (* Chosen pages inside each region, kept as counters so a draw does
+     not rescan [chosen].  The regions may overlap; a page inside both
+     counts for both. *)
+  let in_hot = ref 0 and in_cold = ref 0 in
   let out = ref [] in
   let count = ref 0 in
   while !count < n do
@@ -26,8 +24,8 @@ let draw_pages rng (c : Wparams.per_client) n =
       match c.hot_region with
       | None -> false
       | Some hr ->
-        if region_full hr then false
-        else if region_full c.cold_region then true
+        if !in_hot >= Wparams.region_size hr then false
+        else if !in_cold >= Wparams.region_size c.cold_region then true
         else Rng.bool rng ~p:c.hot_access_prob
     in
     let p =
@@ -38,6 +36,10 @@ let draw_pages rng (c : Wparams.per_client) n =
     in
     if not (Hashtbl.mem chosen p) then begin
       Hashtbl.add chosen p ();
+      (match c.hot_region with
+      | Some hr when Wparams.in_region hr p -> incr in_hot
+      | Some _ | None -> ());
+      if Wparams.in_region c.cold_region p then incr in_cold;
       out := p :: !out;
       incr count
     end

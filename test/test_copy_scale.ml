@@ -84,7 +84,10 @@ end
    modulo the server count, and each page holds [objects_per_page]
    slots.  Whole-page registrations mirror a PS-OO page shipment, so a
    site's index grows through several resizes and the strided ids
-   exercise the hash's collision chains. *)
+   exercise the hash's collision chains.  Half the page numbers put a
+   20-slot page across the boundary of two {!Copy_table.block_size}-item
+   blocks, and shipping a page twice, or registering an item twice,
+   takes its references to 2. *)
 let servers = 4 and objects_per_page = 20 and pages = 40
 
 let obj_id ~s ~k ~slot = ((s + (servers * k)) * objects_per_page) + slot
@@ -150,7 +153,34 @@ let prop_sparse_matches_dense =
                   = Dense.holders_except dense i ~client:c)
              all_clients
       in
+      (* The run query must agree with per-item [holds], over runs
+         that start at each item and cross into the next block.
+         [window.(j)] packs [holds] of the [block_size] items from
+         [lo + j] on, lowest item in bit 0. *)
+      let same_masks c items =
+        let bs = Copy_table.block_size in
+        let lo = List.fold_left min max_int items in
+        let n = List.fold_left max min_int items + bs - lo in
+        let window = Array.make (n + 1) 0 in
+        for j = n - 1 downto 0 do
+          let bit = Bool.to_int (Copy_table.holds sparse (lo + j) ~client:c) in
+          window.(j) <- ((window.(j + 1) lsl 1) lor bit) land ((1 lsl bs) - 1)
+        done;
+        List.for_all
+          (fun i ->
+            List.for_all
+              (fun len ->
+                Copy_table.held_mask sparse i ~len ~client:c
+                = window.(i - lo) land ((1 lsl len) - 1))
+              [ 0; 1; 13; bs ])
+          items
+      in
       let domain = List.concat_map (page_items ~s) (List.init pages Fun.id) in
+      let client_of = function
+        | Register (_, c) | Unregister (_, c) | Ship (_, c) | Release (_, c)
+        | Purge c ->
+          c
+      in
       let items_of = function
         | Register (i, _) | Unregister (i, _) -> [ i ]
         | Ship (k, _) | Release (k, _) -> page_items ~s k
@@ -195,10 +225,12 @@ let prop_sparse_matches_dense =
           && per_client
              = List.map (fun c -> Dense.client_copies dense ~client:c)
                  all_clients
-          && List.for_all same_item (items_of op))
+          && List.for_all same_item (items_of op)
+          && same_masks (client_of op) (items_of op))
         ops
       (* Finally every item in the server's domain, touched or not. *)
-      && List.for_all same_item domain)
+      && List.for_all same_item domain
+      && List.for_all (fun c -> same_masks c domain) all_clients)
 
 (* --- Purge cost: no full-table walk --------------------------------------- *)
 

@@ -281,6 +281,94 @@ let test_audit_detects_corruption () =
         ~coverage_of:1)
     [ Algo.PS_AA; Algo.OS; Algo.PS_OO ]
 
+(* Dropping one object's registration must be caught by both the full
+   and the scoped coverage check, and the violation must name that
+   object.  On PS-OO every available slot of a cached page whose
+   objects straddle two copy-table blocks is tried in turn, and marking
+   the slot unavailable instead (what a callback does) makes the state
+   legal again. *)
+let test_audit_names_dropped_object () =
+  let contains s sub =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+    in
+    at 0
+  in
+  let accept sys what =
+    Audit.check sys ~context:what;
+    Audit.check sys ~context:what ~coverage_of:0
+  in
+  let expect_named sys name oid =
+    let want = Format.asprintf "object %a without" Ids.Oid.pp oid in
+    List.iter
+      (fun (scope, coverage_of) ->
+        match Audit.check sys ~context:"negative-test" ?coverage_of with
+        | () ->
+          Alcotest.failf "%s: %s audit accepted %a unregistered" name scope
+            Ids.Oid.pp oid
+        | exception Audit.Violation msg ->
+          if not (contains msg want) then
+            Alcotest.failf "%s: %s audit did not name %a: %s" name scope
+              Ids.Oid.pp oid msg)
+      [ ("full", None); ("scoped", Some 0) ]
+  in
+  (* Drop every reference client 0 holds to [oid]; returns the undo. *)
+  let drop sys oid =
+    let table = (Model.server_of sys oid.Ids.Oid.page).Model.ocopies in
+    let item = Model.obj_key sys oid in
+    let n = Locking.Copy_table.refs table item ~client:0 in
+    Alcotest.(check bool) "the dropped object was registered" true (n > 0);
+    for _ = 1 to n do
+      Locking.Copy_table.unregister table item ~client:0
+    done;
+    fun () ->
+      for _ = 1 to n do
+        Locking.Copy_table.register table item ~client:0
+      done
+  in
+  let settled algo =
+    let sys = mk_running_sys ~algo ~seed:6 in
+    Simcore.Engine.run_until sys.Model.engine 10.0;
+    sys.Model.live <- false;
+    accept sys "clean before the drop";
+    sys
+  in
+  (* OS: one cached object. *)
+  let sys = settled Algo.OS in
+  (match Lru.to_list sys.Model.clients.Model.ocache.(0) with
+  | [] -> Alcotest.fail "OS: client 0 caches no object"
+  | (oid, _) :: _ ->
+    let undo = drop sys oid in
+    expect_named sys "OS" oid;
+    undo ();
+    accept sys "OS: registration restored");
+  (* PS-OO: each available slot of a block-straddling cached page. *)
+  let sys = settled Algo.PS_OO in
+  let opp = sys.Model.cfg.Config.objects_per_page in
+  let bs = Locking.Copy_table.block_size in
+  let straddles p = p * opp / bs <> (((p + 1) * opp) - 1) / bs in
+  match
+    List.find_opt
+      (fun (p, _) -> straddles p)
+      (Lru.to_list sys.Model.clients.Model.cache.(0))
+  with
+  | None -> Alcotest.fail "PS-OO: no cached page straddles two blocks"
+  | Some (p, entry) ->
+    for slot = 0 to opp - 1 do
+      if not (Ids.Int_set.mem slot entry.Model.unavailable) then begin
+        let oid = Ids.Oid.make ~page:p ~slot in
+        let undo = drop sys oid in
+        expect_named sys "PS-OO" oid;
+        let before = entry.Model.unavailable in
+        entry.Model.unavailable <- Ids.Int_set.add slot before;
+        accept sys "PS-OO: dropped slot marked unavailable";
+        entry.Model.unavailable <- before;
+        undo ()
+      end
+    done;
+    accept sys "PS-OO: registrations restored"
+
 let suite =
   [
     Alcotest.test_case "profiles and validation" `Quick test_profiles;
@@ -308,4 +396,6 @@ let suite =
         test_crash_reclaims_state;
       Alcotest.test_case "audit detects corruption" `Quick
         test_audit_detects_corruption;
+      Alcotest.test_case "audit names a dropped object registration" `Quick
+        test_audit_names_dropped_object;
     ]

@@ -132,6 +132,92 @@ let prop_lru_eviction_is_lru =
           List.for_all (Lru.mem c) expect && Lru.size c = List.length expect)
         keys)
 
+(* A reference model of the whole interface: an association list from
+   most to least recently used.  Every operation's result, the evicted
+   binding and the exact iteration order must match after every step.
+   Capacities reach past the slot arrays' first growth steps (8, 16,
+   32) and keys range over about twice the capacity, so runs mix
+   growth, eviction, removal and slot reuse. *)
+type lru_op =
+  | Find of int
+  | Peek of int
+  | Touch of int
+  | Add of int * int
+  | Remove of int
+
+let show_lru_op = function
+  | Find k -> Printf.sprintf "find %d" k
+  | Peek k -> Printf.sprintf "peek %d" k
+  | Touch k -> Printf.sprintf "touch %d" k
+  | Add (k, v) -> Printf.sprintf "add %d %d" k v
+  | Remove k -> Printf.sprintf "remove %d" k
+
+let prop_lru_matches_model =
+  let arb =
+    QCheck.make
+      ~print:(fun (cap, ops) ->
+        Printf.sprintf "capacity %d: %s" cap
+          (String.concat "; " (List.map show_lru_op ops)))
+      QCheck.Gen.(
+        int_range 1 40 >>= fun cap ->
+        let key = int_bound ((2 * cap) + 2) in
+        let op =
+          frequency
+            [
+              (2, map (fun k -> Find k) key);
+              (1, map (fun k -> Peek k) key);
+              (1, map (fun k -> Touch k) key);
+              (4, map2 (fun k v -> Add (k, v)) key (int_bound 1000));
+              (2, map (fun k -> Remove k) key);
+            ]
+        in
+        map (fun ops -> (cap, ops)) (list_size (int_range 0 300) op))
+  in
+  QCheck.Test.make ~name:"lru matches a reference recency list" ~count:300 arb
+    (fun (cap, ops) ->
+      let c = Lru.create ~capacity:cap in
+      let model = ref [] in
+      let front k v = (k, v) :: List.remove_assoc k !model in
+      List.for_all
+        (fun op ->
+          let agrees =
+            match op with
+            | Find k ->
+              let want = List.assoc_opt k !model in
+              Option.iter (fun v -> model := front k v) want;
+              Lru.find c k = want
+            | Peek k -> Lru.peek c k = List.assoc_opt k !model
+            | Touch k ->
+              Option.iter
+                (fun v -> model := front k v)
+                (List.assoc_opt k !model);
+              Lru.touch c k;
+              true
+            | Add (k, v) ->
+              let fresh = not (List.mem_assoc k !model) in
+              model := front k v;
+              let want =
+                if fresh && List.length !model > cap then begin
+                  let victim = List.nth !model cap in
+                  model := List.filteri (fun i _ -> i < cap) !model;
+                  Some victim
+                end
+                else None
+              in
+              Lru.add c k v = want
+            | Remove k ->
+              let want = List.assoc_opt k !model in
+              model := List.remove_assoc k !model;
+              Lru.remove c k = want
+          in
+          let order = ref [] in
+          Lru.iter c (fun k v -> order := (k, v) :: !order);
+          agrees
+          && List.rev !order = !model
+          && Lru.size c = List.length !model
+          && List.for_all (fun (k, _) -> Lru.mem c k) !model)
+        ops)
+
 (* --- Buffer pool -------------------------------------------------------- *)
 
 let test_pool_hit_miss () =
@@ -190,6 +276,7 @@ let suite =
     Alcotest.test_case "lru capacity one" `Quick test_lru_capacity_one;
     QCheck_alcotest.to_alcotest prop_lru_never_exceeds_capacity;
     QCheck_alcotest.to_alcotest prop_lru_eviction_is_lru;
+    QCheck_alcotest.to_alcotest prop_lru_matches_model;
     Alcotest.test_case "pool hit/miss" `Quick test_pool_hit_miss;
     Alcotest.test_case "pool dirty eviction" `Quick test_pool_eviction_dirty;
     Alcotest.test_case "pool clean" `Quick test_pool_clean;
